@@ -18,9 +18,6 @@ type envelope = { flow : int; msg : Lbrm_wire.Message.t }
 val wire_size : envelope -> int
 (** Message wire size + 4 flow-id bytes. *)
 
-val encode : envelope -> (string, Lbrm_wire.Codec.error) result
-val decode : string -> (envelope, Lbrm_wire.Codec.error) result
-
 type t
 (** A multiplexed deployment over one simulated topology. *)
 
@@ -41,6 +38,11 @@ val join : t -> group:int -> node:Lbrm_sim.Topo.node_id -> unit
 val perform :
   t -> node:Lbrm_sim.Topo.node_id -> flow:int -> Lbrm.Io.action list -> unit
 (** Execute actions on behalf of a sub-agent (start/app sends). *)
+
+val crash : t -> node:Lbrm_sim.Topo.node_id -> unit
+(** Cancel every pending timer of every flow's sub-agent on the host —
+    a crashed process loses its soft state for all the groups it
+    serves. *)
 
 val run : ?until:float -> t -> unit
 val now : t -> float

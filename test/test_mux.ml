@@ -8,37 +8,10 @@ module Builders = Lbrm_sim.Builders
 module Topo = Lbrm_sim.Topo
 module Loss = Lbrm_sim.Loss
 module Trace = Lbrm_sim.Trace
-module Message = Lbrm_wire.Message
 module Rng = Lbrm_util.Rng
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-
-let envelope_roundtrip () =
-  let envs =
-    [
-      { Mux.flow = 0; msg = Message.Who_is_primary };
-      { Mux.flow = 7; msg =
-          Message.Data
-            { seq = 3; epoch = 1; payload = Lbrm_wire.Payload.of_string "x" };
-      };
-      { Mux.flow = 123456; msg = Message.Nack { seqs = [ 1; 2 ] } };
-    ]
-  in
-  List.iter
-    (fun e ->
-      match Mux.decode (Result.get_ok (Mux.encode e)) with
-      | Ok e' ->
-          checki "flow" e.Mux.flow e'.Mux.flow;
-          checkb "msg" true (Message.equal e.Mux.msg e'.Mux.msg)
-      | Error err ->
-          Alcotest.failf "decode: %s" (Lbrm_wire.Codec.error_to_string err))
-    envs;
-  checkb "short input rejected" true (Result.is_error (Mux.decode "ab"));
-  List.iter
-    (fun e ->
-      checki "wire size" (4 + Message.wire_size e.Mux.msg) (Mux.wire_size e))
-    envs
 
 (* Two flows across two sites.  The host [shared] is simultaneously the
    *secondary* logger of flow 1 and the *primary* logger of flow 2. *)
@@ -174,7 +147,6 @@ let () =
     [
       ( "mux",
         [
-          Alcotest.test_case "envelope codec" `Quick envelope_roundtrip;
           Alcotest.test_case "dual-role logging process" `Quick
             dual_role_logger;
         ] );
