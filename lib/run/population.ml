@@ -5,18 +5,6 @@ open Lbrm.Io
 
 type address = Message.address
 
-(* One pursuit per distinct missing seq, whatever its multiplicity —
-   mirrors Receiver's escalation ladder exactly (retry at level, climb,
-   Who_is_primary, abandon), minus rediscovery: a population pins its
-   hierarchy, so a dead secondary is escalated past, not replaced. *)
-type pursuit = {
-  mutable level : int;
-  mutable attempts : int;
-  mutable asked_source : bool;
-  mutable needs_send : bool;
-  detected_at : float;
-}
-
 type t = {
   cfg : Lbrm.Config.t;
   self : address;
@@ -24,7 +12,10 @@ type t = {
   source : address;
   mutable loggers : address list;
   model : Site_population.t;
-  pursuits : (int, pursuit) Hashtbl.t;
+  (* One pursuit per distinct missing seq, whatever its multiplicity,
+     on Receiver's ladder minus rediscovery: a population pins its
+     hierarchy, so a dead secondary is escalated past, not replaced. *)
+  pursuits : Lbrm.Pursuit.t;
   mutable last_heard : float;
   mutable nacks_sent : int;
   mutable nacks_represented : int;
@@ -41,7 +32,7 @@ let create ?(sink = Trace.null ()) ~cfg ~self ~source ~loggers ~model ~on_feed
     source;
     loggers;
     model;
-    pursuits = Hashtbl.create 32;
+    pursuits = Lbrm.Pursuit.create ();
     last_heard = 0.;
     nacks_sent = 0;
     nacks_represented = 0;
@@ -69,40 +60,16 @@ let heard t ~now =
 (* --- loss pursuit ------------------------------------------------------ *)
 
 let open_pursuits t ~now seqs =
-  match List.filter (fun s -> not (Hashtbl.mem t.pursuits s)) seqs with
+  match Lbrm.Pursuit.open_ t.pursuits ~now seqs with
   | [] -> []
   | fresh ->
       if Trace.is_on t.sink then
         trace t ~now (Trace.Gap_detected { seqs = fresh });
-      List.iter
-        (fun s ->
-          Hashtbl.replace t.pursuits s
-            {
-              level = 0;
-              attempts = 0;
-              asked_source = false;
-              needs_send = true;
-              detected_at = now;
-            })
-        fresh;
       [ Notify (N_gap fresh); Set_timer (K_nack_flush, t.cfg.nack_delay) ]
 
-let close_pursuit t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
-  | None -> []
-  | Some p ->
-      Hashtbl.remove t.pursuits seq;
-      [
-        Cancel_timer (K_nack_escalate seq);
-        Notify (N_recovered { seq; latency = now -. p.detected_at });
-      ]
-
-let abandon_pursuit t ~now seq =
-  Hashtbl.remove t.pursuits seq;
-  let written_off = Site_population.abandon t.model ~seq in
-  ignore written_off;
-  if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq });
-  [ Cancel_timer (K_nack_escalate seq); Notify (N_gave_up seq) ]
+let give_up t ~now seq =
+  ignore (Site_population.abandon t.model ~seq : int);
+  if Trace.is_on t.sink then trace t ~now (Trace.Gave_up { seq })
 
 (* Like Receiver's flush, with multiplicity: a gap missed by [m]
    receivers is represented by [min m remcast_request_threshold] NACK
@@ -114,25 +81,14 @@ let flush_nacks t ~now =
   List.iter
     (fun (s, m) -> Hashtbl.replace mult s m)
     (Site_population.missing_seqs t.model);
-  let by_level = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun seq p ->
+  Lbrm.Pursuit.fold_due t.pursuits
+    ~select:(fun seq ->
       match Hashtbl.find_opt mult seq with
-      | Some m when p.needs_send ->
-          let existing =
-            Option.value ~default:[] (Hashtbl.find_opt by_level p.level)
-          in
-          let copies =
-            Stdlib.max 1 (Stdlib.min m t.cfg.remcast_request_threshold)
-          in
-          Hashtbl.replace by_level p.level ((seq, copies) :: existing);
-          p.attempts <- p.attempts + 1;
-          p.needs_send <- false;
-          t.nacks_represented <- t.nacks_represented + m
-      | _ -> ())
-    t.pursuits;
-  Hashtbl.fold
-    (fun level seqs acc ->
+      | None -> None
+      | Some m ->
+          t.nacks_represented <- t.nacks_represented + m;
+          Some (seq, Stdlib.max 1 (Stdlib.min m t.cfg.remcast_request_threshold)))
+    (fun ~level seqs acc ->
       match logger_at t level with
       | None -> acc
       | Some logger ->
@@ -159,38 +115,19 @@ let flush_nacks t ~now =
             end
           done;
           !sends
-          @ List.map
-              (fun (s, _) -> Set_timer (K_nack_escalate s, t.cfg.nack_timeout))
-              seqs
+          @ Lbrm.Pursuit.escalation_timers t.cfg (List.map fst seqs)
           @ acc)
-    by_level []
+    []
 
 let escalate t ~now seq =
-  match Hashtbl.find_opt t.pursuits seq with
+  match Lbrm.Pursuit.level t.pursuits seq with
   | None -> []
-  | Some p ->
-      if Site_population.is_fully_delivered t.model ~seq then begin
-        Hashtbl.remove t.pursuits seq;
-        []
-      end
-      else if p.attempts < (p.level + 1) * t.cfg.nack_retry_limit then begin
-        p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
-      end
-      else if p.level + 1 < levels t then begin
-        p.level <- p.level + 1;
-        p.needs_send <- true;
-        [ Set_timer (K_nack_flush, 0.) ]
-      end
-      else if not p.asked_source then begin
-        p.asked_source <- true;
-        p.attempts <- p.level * t.cfg.nack_retry_limit;
-        [
-          Lbrm.Io.send_to t.source Message.Who_is_primary;
-          Set_timer (K_nack_escalate seq, 2. *. t.cfg.nack_timeout);
-        ]
-      end
-      else abandon_pursuit t ~now seq
+  | Some _ when Site_population.is_fully_delivered t.model ~seq ->
+      Lbrm.Pursuit.forget t.pursuits seq;
+      []
+  | Some _ ->
+      Lbrm.Pursuit.escalate t.pursuits t.cfg ~levels:(levels t)
+        ~source:t.source ~give_up:(give_up t ~now) seq
 
 (* --- data-plane arrivals ----------------------------------------------- *)
 
@@ -231,7 +168,7 @@ let on_payload t ~now ~src ~seq msg =
     if outcome.still_missing > 0 then
       if outcome.first then open_pursuits t ~now [ seq ] else []
     else if outcome.newly_delivered > 0 || outcome.first then
-      close_pursuit t ~now seq
+      Lbrm.Pursuit.close t.pursuits ~now seq
     else []
   in
   own @ opened
@@ -258,14 +195,11 @@ let handle_message t ~now ~src msg =
   | Message.Retrans { seq; _ } ->
       heard t ~now :: on_payload t ~now ~src ~seq msg
   | Message.Primary_is { logger } ->
-      let rec replace_last = function
-        | [] -> [ logger ]
-        | [ _ ] -> [ logger ]
-        | x :: rest -> x :: replace_last rest
+      let loggers, actions =
+        Lbrm.Pursuit.on_primary_is t.pursuits t.loggers logger
       in
-      t.loggers <- replace_last t.loggers;
-      Hashtbl.iter (fun _ p -> p.needs_send <- true) t.pursuits;
-      [ Set_timer (K_nack_flush, 0.) ]
+      t.loggers <- loggers;
+      actions
   | _ -> []
 
 let start t ~now =
