@@ -3,10 +3,8 @@
 module Seqno = Lbrm_util.Seqno
 module Heap = Lbrm_util.Heap
 module Rng = Lbrm_util.Rng
-module Ewma = Lbrm_util.Ewma
 module Stats = Lbrm_util.Stats
 module Gap_tracker = Lbrm_util.Gap_tracker
-module Ring_log = Lbrm_util.Ring_log
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -259,25 +257,6 @@ let rng_poisson_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   checkb (Printf.sprintf "mean %.3f near 4" mean) true (Float.abs (mean -. 4.) < 0.15)
 
-(* ---- Ewma ---- *)
-
-let ewma_plain () =
-  let e = Ewma.create ~alpha:0.5 in
-  checkb "empty" true (Ewma.value e = None);
-  checkf "first obs" 10. (Ewma.update e 10.);
-  checkf "second" 15. (Ewma.update e 20.);
-  checkf "value_or" 15. (Ewma.value_or ~default:0. e)
-
-let ewma_jacobson () =
-  let j = Ewma.Jacobson.create ~init:1. () in
-  checkf "initial mean" 1. (Ewma.Jacobson.mean j);
-  for _ = 1 to 200 do
-    Ewma.Jacobson.observe j 1.
-  done;
-  checkb "dev shrinks under constant samples" true
-    (Ewma.Jacobson.deviation j < 0.01);
-  checkb "timeout >= mean" true (Ewma.Jacobson.timeout j >= Ewma.Jacobson.mean j)
-
 (* ---- Stats ---- *)
 
 let stats_welford () =
@@ -393,33 +372,6 @@ let tracker_prop_missing_is_complement =
       in
       Gap_tracker.missing t = expect)
 
-(* ---- Ring_log ---- *)
-
-let ring_eviction () =
-  let r = Ring_log.create ~capacity:3 in
-  checkb "no evict" true (Ring_log.push r 1 = None);
-  ignore (Ring_log.push r 2);
-  ignore (Ring_log.push r 3);
-  checkb "evicts oldest" true (Ring_log.push r 4 = Some 1);
-  Alcotest.check (Alcotest.list Alcotest.int) "contents" [ 2; 3; 4 ]
-    (Ring_log.to_list r);
-  checkb "oldest" true (Ring_log.oldest r = Some 2);
-  checkb "newest" true (Ring_log.newest r = Some 4);
-  checkb "find" true (Ring_log.find (fun x -> x = 3) r = Some 3);
-  checkb "find missing" true (Ring_log.find (fun x -> x = 9) r = None)
-
-let ring_prop_last_k =
-  QCheck.Test.make ~name:"ring_log: keeps exactly the last k items"
-    QCheck.(pair (int_range 1 20) (list small_int))
-    (fun (cap, xs) ->
-      let r = Ring_log.create ~capacity:cap in
-      List.iter (fun x -> ignore (Ring_log.push r x)) xs;
-      let n = List.length xs in
-      let expect =
-        if n <= cap then xs else List.filteri (fun i _ -> i >= n - cap) xs
-      in
-      Ring_log.to_list r = expect)
-
 let () =
   Alcotest.run "util"
     [
@@ -448,11 +400,6 @@ let () =
           Alcotest.test_case "exponential mean" `Slow rng_exponential_mean;
           Alcotest.test_case "poisson mean" `Slow rng_poisson_mean;
         ] );
-      ( "ewma",
-        [
-          Alcotest.test_case "plain" `Quick ewma_plain;
-          Alcotest.test_case "jacobson" `Quick ewma_jacobson;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "welford" `Quick stats_welford;
@@ -469,10 +416,5 @@ let () =
           Alcotest.test_case "forget_below" `Quick tracker_forget_below;
           qtest tracker_prop_complete_stream;
           qtest tracker_prop_missing_is_complement;
-        ] );
-      ( "ring_log",
-        [
-          Alcotest.test_case "eviction" `Quick ring_eviction;
-          qtest ring_prop_last_k;
         ] );
     ]
