@@ -41,6 +41,11 @@ type t = {
   mutable on_rchannel : bool; (* subscribed to the retransmission channel *)
 }
 
+(* Whether [seq] is logged here, in memory or on disk. *)
+let logged t seq =
+  Log_store.mem t.store seq
+  || match t.archive with Some a -> Archive.mem a seq | None -> false
+
 (* Advance the tiered contiguous floor across memory and disk.  Only
    meaningful with an archive attached; the archive's persisted
    low-water mark gives the starting jump, then membership in either
@@ -56,7 +61,7 @@ let advance_floor t =
       let progressing = ref true in
       while !progressing do
         let next = t.floor + 1 in
-        if Log_store.mem t.store next || Archive.mem a next then
+        if logged t next then
           t.floor <- next
         else progressing := false
       done
@@ -371,43 +376,43 @@ let log_packet t ~now ~seq ~epoch ~payload ~recovered =
   | Fills_gap -> maybe_leave_channel t
   | First | In_order | Duplicate -> []
 
-let satisfy_waiters t ~now (e : Log_store.entry) =
-  match Hashtbl.find_opt t.pending_up e.seq with
+(* Answer everyone waiting on [seq] once it is logged, from memory or,
+   for a packet the store sent straight to disk on arrival (older than
+   its window), from the archive. *)
+let serve_waiters t ~now seq =
+  match Hashtbl.find_opt t.pending_up seq with
   | None -> []
-  | Some waiters ->
-      Hashtbl.remove t.pending_up e.seq;
-      let ws = !waiters in
-      t.requests_served <- t.requests_served + List.length ws;
-      Cancel_timer (K_uplink_nack e.seq)
-      ::
-      (if
-         (not (is_primary t))
-         && List.length ws >= t.cfg.remcast_request_threshold
-       then begin
-         t.remulticasts <- t.remulticasts + 1;
-         if Trace.is_on t.sink then
-           trace t ~now
-             (Trace.Retrans { seq = e.seq; mode = Trace.R_site_mcast });
-         [ Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e) ]
-       end
-       else
-         List.map
-           (fun wtr ->
+  | Some waiters -> (
+      match lookup t ~now seq with
+      | None -> []
+      | Some e ->
+          Hashtbl.remove t.pending_up seq;
+          let ws = !waiters in
+          t.requests_served <- t.requests_served + List.length ws;
+          Cancel_timer (K_uplink_nack seq)
+          ::
+          (if
+             (not (is_primary t))
+             && List.length ws >= t.cfg.remcast_request_threshold
+           then begin
+             t.remulticasts <- t.remulticasts + 1;
              if Trace.is_on t.sink then
-               trace t ~now
-                 (Trace.Retrans { seq = e.seq; mode = Trace.R_unicast wtr });
-             Io.send_to wtr (retrans_msg e))
-           ws)
+               trace t ~now (Trace.Retrans { seq; mode = Trace.R_site_mcast });
+             [ Io.send ~ttl:t.cfg.site_ttl ~group:t.cfg.group (retrans_msg e) ]
+           end
+           else
+             List.map
+               (fun wtr ->
+                 if Trace.is_on t.sink then
+                   trace t ~now
+                     (Trace.Retrans { seq; mode = Trace.R_unicast wtr });
+                 Io.send_to wtr (retrans_msg e))
+               ws))
 
 let on_data t ~now ~seq ~epoch ~payload =
   let log_actions = log_packet t ~now ~seq ~epoch ~payload ~recovered:false in
   let stat = maybe_stat_ack t ~epoch ~seq in
-  let waiters =
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
-  log_actions @ stat @ waiters
+  log_actions @ stat @ serve_waiters t ~now seq
 
 let on_heartbeat t ~now ~seq ~epoch ~payload =
   match payload with
@@ -455,12 +460,7 @@ let on_deposit t ~now ~seq ~epoch ~payload =
          else [])
     else []
   in
-  let waiters =
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
-  (Io.send_to t.source (log_ack t) :: to_replicas) @ waiters
+  (Io.send_to t.source (log_ack t) :: to_replicas) @ serve_waiters t ~now seq
 
 let on_replica_retry t seq =
   (* Some replica still lacks [seq]: resend and re-arm until they all
@@ -525,13 +525,7 @@ let on_ring_forward t ~now ~seq ~epoch ~payload =
     | Fills_gap -> maybe_leave_channel t
     | First | In_order | Duplicate -> []
   in
-  let waiters =
-    gap_actions
-    @
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
+  let waiters = gap_actions @ serve_waiters t ~now seq in
   match t.succ with
   | Some next ->
       if Trace.is_on t.sink then
@@ -561,13 +555,7 @@ let on_quorum_deposit t ~now ~seq ~epoch ~payload =
   in
   let floor = durable_floor t in
   if Trace.is_on t.sink then trace t ~now (Trace.Quorum_acked { seq; floor });
-  let waiters =
-    gap_actions
-    @
-    match Log_store.get t.store ~now seq with
-    | Some e -> satisfy_waiters t ~now e
-    | None -> []
-  in
+  let waiters = gap_actions @ serve_waiters t ~now seq in
   Io.send_to t.source (Message.Quorum_ack { seq = floor }) :: waiters
 
 (* --- dispatch ------------------------------------------------------------ *)
@@ -585,12 +573,7 @@ let handle_message t ~now ~src msg =
         log_packet t ~now ~seq ~epoch ~payload ~recovered:true
       in
       let stat = maybe_stat_ack t ~epoch ~seq in
-      let waiters =
-        match Log_store.get t.store ~now seq with
-        | Some e -> satisfy_waiters t ~now e
-        | None -> []
-      in
-      log_actions @ stat @ waiters
+      log_actions @ stat @ serve_waiters t ~now seq
   | Message.Log_deposit { seq; epoch; payload } -> (
       match t.cfg.replication with
       | Config.R_quorum -> on_quorum_deposit t ~now ~seq ~epoch ~payload
@@ -652,7 +635,7 @@ let handle_timer t ~now key =
   | K_uplink_nack seq ->
       (* Either our own gap-chase delay expired or a parent request went
          unanswered: (re)try if the packet is still absent. *)
-      if Log_store.mem t.store seq then begin
+      if logged t seq then begin
         Hashtbl.remove t.uplink_asked seq;
         Hashtbl.remove t.uplink_retries seq;
         []
