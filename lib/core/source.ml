@@ -56,6 +56,9 @@ let last_seq t = t.seq
 let current_epoch t = t.epoch
 let primary t = Replication.primary t.rep
 let retained t = Hashtbl.length t.retained
+
+let retained_seqs t =
+  List.sort Seqno.compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.retained [])
 let released t = t.released
 let durable t = Replication.durable t.rep
 let stat t = t.stat
@@ -131,17 +134,18 @@ let apply_rep_events t ~now events =
       | Replication.E_release floor ->
           (* Buffers at or below the durability floor can be released
              (§2.2.3) — unless statistical acking still needs them for
-             a potential re-multicast (§2.3.2). *)
-          let release =
-            Hashtbl.fold
-              (fun seq _ acc ->
-                if Seqno.(seq <= floor) && not (Stat_ack.is_pending t.stat seq)
-                then seq :: acc
-                else acc)
-              t.retained []
-          in
-          List.iter (Hashtbl.remove t.retained) release;
-          if Seqno.(floor > t.released) then t.released <- floor;
+             a potential re-multicast (§2.3.2); [Tracking_done] releases
+             those.  Only the seqs the floor newly covers are visited,
+             so an ack costs O(newly released), not O(retained). *)
+          if Seqno.(floor > t.released) then begin
+            let seq = ref (Seqno.succ t.released) in
+            while Seqno.(!seq <= floor) do
+              if not (Stat_ack.is_pending t.stat !seq) then
+                Hashtbl.remove t.retained !seq;
+              seq := Seqno.succ !seq
+            done;
+            t.released <- floor
+          end;
           enforce_retain_bound t;
           []
       | Replication.E_suspected -> [ Notify N_primary_suspected ]

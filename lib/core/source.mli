@@ -60,6 +60,9 @@ val primary : t -> address
 val retained : t -> int
 (** Payloads still buffered awaiting replica acknowledgement. *)
 
+val retained_seqs : t -> seq list
+(** The sequence numbers of those payloads, ascending. *)
+
 val released : t -> seq
 (** Highest sequence number whose buffer has been released. *)
 
