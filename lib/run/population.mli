@@ -2,13 +2,14 @@
 
     Wraps a {!Lbrm_sim.Site_population} statistical model in the wire
     protocol: one agent stands in for the whole site population on the
-    data group, mirroring {!Lbrm.Receiver}'s recovery semantics with
+    data group, with {!Lbrm.Receiver}'s recovery semantics plus
     multiplicity —
 
     - gap detection via sequence gaps and heartbeat [note_exists],
       MaxIT silence watchdog with latest queries;
-    - batched NACKs with the same retry/level-escalation/abandon ladder
-      (per {e distinct} gap, not per modeled receiver); to preserve the
+    - batched NACKs on the receiver's own ladder, {!Lbrm.Pursuit}
+      (retry, level escalation, [Who_is_primary], abandon), per
+      {e distinct} gap, not per modeled receiver; to preserve the
       logger's unicast-vs-site-remulticast decision (§2.2.1's request
       threshold), a gap missed by [m] receivers is represented by
       [min m remcast_request_threshold] wire NACKs per round;
